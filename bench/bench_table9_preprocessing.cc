@@ -6,14 +6,17 @@
 // Thread-sweep mode: setting KOSR_BENCH_THREADS to a comma list of thread
 // counts (e.g. "1,2,4") switches the binary to measuring the parallel index
 // build instead — each (graph, threads) pair becomes one benchmark whose
-// counters report build seconds and speedup over the single-thread build,
-// so the JSON (--benchmark_out) carries the whole sweep. A count of 1 is
-// always included as the speedup baseline. BENCH_parallel_build.json is
-// recorded this way.
+// counters report build seconds, speedup over the single-thread build, and
+// the arc relaxations of every pruned search of the build (batched searches
+// prune against fewer labels, so this shows the extra search work apart
+// from wall time), so the JSON (--benchmark_out) carries the whole sweep. A
+// count of 1 is always included as the speedup baseline.
+// BENCH_parallel_build.json is recorded this way.
 
 #include <benchmark/benchmark.h>
 
 #include "bench/bench_common.h"
+#include "src/obs/counters.h"
 
 namespace kosr::bench {
 namespace {
@@ -123,6 +126,7 @@ struct SweepRow {
   double label_seconds;
   double inverted_seconds;
   double speedup;  ///< single-thread total / this total
+  uint64_t relaxations;  ///< kPrunedRelaxations over the whole index build
 };
 
 std::vector<SweepRow>& SweepRows() {
@@ -141,7 +145,9 @@ void RunSweep() {
   for (const Workload& w : workloads) {
     double base_seconds = 0;
     for (uint32_t threads : SweepThreadCounts()) {
+      const obs::EngineCounters before = obs::TlsCounters();
       w.BuildIndexes(threads);
+      const obs::EngineCounters work = obs::Diff(obs::TlsCounters(), before);
       SweepRow row;
       row.graph = w.name;
       row.threads = threads;
@@ -150,6 +156,7 @@ void RunSweep() {
       double total = row.label_seconds + row.inverted_seconds;
       if (threads == 1) base_seconds = total;
       row.speedup = total > 0 ? base_seconds / total : 0;
+      row.relaxations = work.Get(obs::Counter::kPrunedRelaxations);
       SweepRows().push_back(row);
     }
   }
@@ -167,6 +174,8 @@ void BM_ParallelBuild(benchmark::State& state, std::string graph,
     state.counters["label_s"] = row.label_seconds;
     state.counters["inverted_s"] = row.inverted_seconds;
     state.counters["speedup"] = row.speedup;
+    state.counters["pruned_relaxations"] =
+        static_cast<double>(row.relaxations);
   }
 }
 
@@ -196,12 +205,14 @@ int main(int argc, char** argv) {
         "Parallel index build thread sweep",
         "hub labels + inverted indexes, speedup vs 1 thread");
     kosr::bench::PrintRowHeader(
-        "graph", {"threads", "label(s)", "inverted(s)", "speedup"});
+        "graph",
+        {"threads", "label(s)", "relax(M)", "inverted(s)", "speedup"});
     for (const auto& row : kosr::bench::SweepRows()) {
       kosr::bench::PrintRow(
           row.graph,
           {std::to_string(row.threads), Fmt(row.label_seconds),
-           Fmt(row.inverted_seconds), Fmt(row.speedup)});
+           Fmt(row.relaxations / 1e6), Fmt(row.inverted_seconds),
+           Fmt(row.speedup)});
     }
     return 0;
   }

@@ -104,19 +104,18 @@ class KosrEngine {
   /// Graph update: inserts arc (u, v, w) or lowers an existing arc's weight
   /// in place (Graph::AddOrDecreaseArc — repeated updates to the same edge
   /// do not grow the arc lists), incrementally repairs the labeling
-  /// (resumed pruned searches), and patches only the inverted lists of hubs
-  /// whose labels actually changed. A no-op update (w >= the current
+  /// (affected-hub re-searches), and patches only the inverted lists of
+  /// hubs whose labels actually changed. A no-op update (w >= the current
   /// weight) touches nothing (`graph_changed == false`), so callers (the
   /// service's cache invalidation) can skip their own reactions too.
   EdgeUpdateSummary AddOrDecreaseEdge(VertexId u, VertexId v, Weight w);
 
   /// Graph update: sets the u->v weight to exactly `w` — decrease, insert,
   /// or *increase* — and incrementally repairs the labeling either way
-  /// (resumed searches for a decrease; affected-hub re-searches for an
-  /// increase, byte-identical to a from-scratch rebuild with the same hub
-  /// order — see DESIGN.md, "Dynamic updates"). Inverted indexes are
-  /// patched incrementally from the repair delta. Setting the current
-  /// weight again is a no-op. Throws std::invalid_argument for
+  /// (affected-hub re-searches, byte-identical to a from-scratch rebuild
+  /// with the same hub order — see DESIGN.md, "Dynamic updates"). Inverted
+  /// indexes are patched incrementally from the repair delta. Setting the
+  /// current weight again is a no-op. Throws std::invalid_argument for
   /// out-of-range endpoints; self loops are dropped.
   EdgeUpdateSummary SetEdgeWeight(VertexId u, VertexId v, Weight w);
 

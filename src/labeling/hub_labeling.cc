@@ -113,7 +113,10 @@ struct HubLabeling::RepairTracker {
 // Per-thread pruned-Dijkstra scratch. dist/parent are dense arrays reset via
 // the touched list (cheap for small search spaces); scratch is the dense
 // distance table keyed by hub rank holding the current hub's opposite-side
-// labels during prune checks.
+// labels during prune checks. `relaxations` counts the arcs every search on
+// this context relaxed; the context's owner folds it into the calling
+// thread's kPrunedRelaxations slot, so pool threads' searches are counted
+// where the build was called.
 struct HubLabeling::SearchContext {
   std::vector<Cost> dist;
   std::vector<VertexId> parent;
@@ -121,6 +124,7 @@ struct HubLabeling::SearchContext {
   IndexedMinHeap heap;
   std::vector<Cost> scratch;
   std::vector<uint32_t> scratch_touched;
+  uint64_t relaxations = 0;
 
   explicit SearchContext(uint32_t n)
       : dist(n, kInfCost),
@@ -285,23 +289,23 @@ void HubLabeling::Build(const Graph& graph, const std::vector<VertexId>& order,
 
   num_threads = ResolveThreadCount(num_threads);
   if (num_threads == 1) {
-    // Sequential fast path: labels commit directly during the search (the
-    // prune there already runs against the fully committed prefix), so the
-    // batched commit re-check would be pure duplicated work.
+    // Sequential path: labels commit directly during the search (the prune
+    // there already runs against the fully committed prefix), so there is
+    // nothing to re-check.
     SearchContext ctx(n);
     for (uint32_t r = 0; r < n; ++r) {
-      PrunedSearch(graph, r, /*forward=*/true, {{order_[r], 0}}, ctx, nullptr);
-      PrunedSearch(graph, r, /*forward=*/false, {{order_[r], 0}}, ctx,
-                   nullptr);
+      PrunedSearch(graph, r, /*forward=*/true, ctx, nullptr);
+      PrunedSearch(graph, r, /*forward=*/false, ctx, nullptr);
     }
+    KOSR_COUNT(kPrunedRelaxations, ctx.relaxations);
     Seal();
     build_seconds_ = timer.ElapsedSeconds();
     return;
   }
 
   // One persistent pool for the whole build: the batch loop below issues
-  // one parallel-for per batch (hundreds per index), and respawning threads
-  // each time dominated small-batch wall time.
+  // two parallel-fors per batch (hundreds per index), and respawning
+  // threads each time dominated small-batch wall time.
   ThreadPool pool(num_threads);
   num_threads = pool.num_threads();
   std::vector<std::unique_ptr<SearchContext>> contexts;
@@ -313,52 +317,101 @@ void HubLabeling::Build(const Graph& graph, const std::vector<VertexId>& order,
   // Rank-batched construction. Threads run pruned searches for every hub of
   // the batch against the labels committed by *earlier* batches only (the
   // label vectors are never written while searches run, so sharing them is
-  // race-free); the weaker prune admits extra candidates, and the sequential
-  // commit phase below re-checks each one in rank order against the labels
-  // committed so far — including same-batch smaller ranks — so exactly the
+  // race-free); the weaker prune admits extra candidates, which the commit
+  // below re-checks against the same-batch smaller ranks, so exactly the
   // canonical (sequential) label set survives. Batches start at size 1
   // because the top hubs have the largest searches and their labels prune
   // everything after them; the cap keeps all threads busy on the long tail
   // of small searches.
   //
+  // The commit runs in two steps. Whether candidate (rank, x) survives
+  // depends only on the hub's opposite-side same-batch entries and on x's
+  // own same-side same-batch entries of smaller rank. So the candidates on
+  // the batch's own hub vertices commit first, in rank order on this
+  // thread: their decisions read hub vertices only. After that every hub's
+  // entries are final for the batch, and each remaining vertex depends on
+  // nothing but itself, so pool task p commits, in rank order, the
+  // candidates of the vertices x with x % num_threads == p.
+  //
   // Concurrency contract (DESIGN.md, "Concurrency contract"): this build
-  // deliberately owns no lock. Each task writes only its own disjoint
-  // candidates[task] slot, the shared label vectors are read-only while
-  // searches run, and ParallelFor's internal mutex is the barrier whose
-  // release/acquire ordering publishes each batch's committed labels to
-  // the next batch's searches. Adding shared mutable state here means
-  // adding a capability-annotated Mutex, not an atomic sprinkled in.
+  // deliberately owns no lock. Each search task writes only its own
+  // disjoint candidates[task] slot, each commit task writes only the label
+  // vectors of the vertices it owns while reading hub vertices' vectors,
+  // which nothing writes in that step, and ParallelFor's internal mutex is
+  // the barrier whose release/acquire ordering publishes each step's
+  // writes to the next. Adding shared mutable state here means adding a
+  // capability-annotated Mutex, not an atomic sprinkled in.
   const uint32_t batch_cap = std::max<uint32_t>(8 * num_threads, 64);
   std::vector<std::vector<CandidateLabel>> candidates;
+  // Candidate counts per label vector (Lin(x) at x, Lout(x) at n + x) and
+  // the indexes counted, for growing the vectors before each commit.
+  std::vector<uint32_t> incoming(2 * static_cast<size_t>(n), 0);
+  std::vector<size_t> counted;
   uint32_t batch_size = 1;
   for (uint32_t begin = 0; begin < n; begin += batch_size,
                 batch_size = std::min(batch_size * 2, batch_cap)) {
     batch_size = std::min(batch_size, n - begin);
+    const uint32_t end = begin + batch_size;
     const uint32_t tasks = 2 * batch_size;  // (rank, direction) pairs
     candidates.assign(tasks, {});
     pool.ParallelFor(tasks, [&](uint64_t task, uint32_t thread) {
       uint32_t rank = begin + static_cast<uint32_t>(task) / 2;
       bool forward = task % 2 == 0;
-      PrunedSearch(graph, rank, forward, {{order_[rank], 0}},
-                   *contexts[thread], &candidates[task]);
+      PrunedSearch(graph, rank, forward, *contexts[thread], &candidates[task]);
     });
-    // Commit in rank order, forward before backward — the same order the
-    // sequential build writes labels in.
-    for (uint32_t i = 0; i < batch_size; ++i) {
-      CommitCandidates(begin + i, /*forward=*/true, candidates[2 * i],
-                       *contexts[0]);
-      CommitCandidates(begin + i, /*forward=*/false, candidates[2 * i + 1],
-                       *contexts[0]);
+    // Label vectors grow on this thread only: each vector the batch may
+    // append to gets room for all its candidates first, so the commit's
+    // pool threads never reallocate one. A block a pool thread allocates
+    // comes from that thread's malloc arena, which the label copies that
+    // later updates make on other threads cannot reuse, so a server would
+    // hold about one extra label copy after its first updates.
+    for (uint32_t task = 0; task < tasks; ++task) {
+      const size_t side = task % 2 == 0 ? 0 : n;
+      for (const CandidateLabel& c : candidates[task]) {
+        if (incoming[side + c.vertex]++ == 0) counted.push_back(side + c.vertex);
+      }
     }
+    for (size_t i : counted) {
+      auto& labels = i < n ? in_labels_[i] : out_labels_[i - n];
+      const size_t want = labels.size() + incoming[i];
+      if (want > labels.capacity()) {
+        labels.reserve(std::max(want, 2 * labels.capacity()));
+      }
+      incoming[i] = 0;
+    }
+    counted.clear();
+    // Commit slot of vertex x: 0 for the batch's hub vertices, 1 + the
+    // owning pool task otherwise.
+    auto slot_of = [&](VertexId x) -> uint32_t {
+      return rank_[x] >= begin && rank_[x] < end ? 0 : 1 + x % num_threads;
+    };
+    // Rank order, forward before backward — the same order the sequential
+    // build writes labels in.
+    auto commit = [&](uint32_t slot, SearchContext& ctx) {
+      auto owns = [&](VertexId x) { return slot_of(x) == slot; };
+      for (uint32_t rank = begin; rank < end; ++rank) {
+        CommitCandidates(begin, rank, /*forward=*/true,
+                         candidates[2 * (rank - begin)], ctx, owns);
+        CommitCandidates(begin, rank, /*forward=*/false,
+                         candidates[2 * (rank - begin) + 1], ctx, owns);
+      }
+    };
+    commit(0, *contexts[0]);
+    pool.ParallelFor(num_threads, [&](uint64_t task, uint32_t thread) {
+      commit(1 + static_cast<uint32_t>(task), *contexts[thread]);
+    });
   }
+  uint64_t relaxations = 0;
+  for (const auto& ctx : contexts) relaxations += ctx->relaxations;
+  KOSR_COUNT(kPrunedRelaxations, relaxations);
   Seal();
   build_seconds_ = timer.ElapsedSeconds();
 }
 
-void HubLabeling::PrunedSearch(
-    const Graph& graph, uint32_t rank, bool forward,
-    const std::vector<std::pair<VertexId, Cost>>& seeds, SearchContext& ctx,
-    std::vector<CandidateLabel>* candidates, RepairTracker* tracker) {
+void HubLabeling::PrunedSearch(const Graph& graph, uint32_t rank, bool forward,
+                               SearchContext& ctx,
+                               std::vector<CandidateLabel>* candidates,
+                               RepairTracker* tracker) {
   VertexId hub = order_[rank];
 
   // Load the hub's own opposite-side labels (ranks < `rank`) into the dense
@@ -375,19 +428,12 @@ void HubLabeling::PrunedSearch(
   auto& touched = ctx.touched;
   auto& heap = ctx.heap;
 
-  for (const auto& [v, d] : seeds) {
-    if (d < dist[v]) {
-      if (dist[v] == kInfCost) touched.push_back(v);
-      dist[v] = d;
-      // Seed parents for resumed searches are patched by the caller via the
-      // existing labels; for construction the seed is the hub itself.
-      parent[v] = kInvalidVertex;
-      heap.InsertOrDecrease(v, d);
-    }
-  }
+  dist[hub] = 0;
+  touched.push_back(hub);
+  heap.InsertOrDecrease(hub, 0);
 
-  // Relaxations accumulate in a register and hit the thread-local slot once
-  // per search, after the heap drains.
+  // Relaxations accumulate in a register and hit the context once per
+  // search, after the heap drains.
   uint64_t relaxations = 0;
   while (!heap.Empty()) {
     auto [d, x] = heap.ExtractMin();
@@ -429,8 +475,7 @@ void HubLabeling::PrunedSearch(
       }
     }
   }
-
-  KOSR_COUNT(kPrunedRelaxations, relaxations);
+  ctx.relaxations += relaxations;
 
   for (VertexId v : touched) {
     dist[v] = kInfCost;
@@ -442,29 +487,41 @@ void HubLabeling::PrunedSearch(
   ctx.scratch_touched.clear();
 }
 
+template <typename Owns>
 void HubLabeling::CommitCandidates(
-    uint32_t rank, bool forward, const std::vector<CandidateLabel>& candidates,
-    SearchContext& ctx) {
+    uint32_t begin, uint32_t rank, bool forward,
+    const std::vector<CandidateLabel>& candidates, SearchContext& ctx,
+    Owns owns) {
+  // The search emitted a candidate only if ranks below `begin` leave it
+  // uncovered, so the full prune check reduces to the same-batch ranks
+  // [begin, rank). Commits append in rank order, so those entries are the
+  // tails of the hub-side and target-side vectors, at most one batch long.
+  // The hub side may already hold larger same-batch ranks (the hub-vertex
+  // step commits all of them first); those are skipped.
   VertexId hub = order_[rank];
-  // Same scratch layout as the search-time prune, but now over the fully
-  // committed prefix: same-batch hubs of smaller rank are in by now.
   const auto& hub_labels = forward ? out_labels_[hub] : in_labels_[hub];
-  for (const LabelEntry& e : hub_labels) {
-    if (e.hub_rank >= rank) break;
-    ctx.scratch[e.hub_rank] = e.dist;
-    ctx.scratch_touched.push_back(e.hub_rank);
+  for (auto it = hub_labels.rbegin();
+       it != hub_labels.rend() && it->hub_rank >= begin; ++it) {
+    if (it->hub_rank >= rank) continue;
+    ctx.scratch[it->hub_rank] = it->dist;
+    ctx.scratch_touched.push_back(it->hub_rank);
   }
+  // With no same-batch entry on the hub side nothing can cover a candidate.
+  const bool check = !ctx.scratch_touched.empty();
   for (const CandidateLabel& c : candidates) {
-    const auto& labels = forward ? in_labels_[c.vertex] : out_labels_[c.vertex];
-    Cost covered = kInfCost;
-    for (const LabelEntry& e : labels) {
-      if (e.hub_rank >= rank) break;
-      Cost via = ctx.scratch[e.hub_rank];
-      if (via != kInfCost) covered = std::min(covered, via + e.dist);
-    }
-    if (covered <= static_cast<Cost>(c.dist)) continue;
+    if (!owns(c.vertex)) continue;
     auto& target = forward ? in_labels_[c.vertex] : out_labels_[c.vertex];
-    InsertOrUpdate(target, {rank, c.dist, c.parent});
+    assert(target.empty() || target.back().hub_rank < rank);
+    if (check) {
+      Cost covered = kInfCost;
+      for (auto it = target.rbegin();
+           it != target.rend() && it->hub_rank >= begin; ++it) {
+        Cost via = ctx.scratch[it->hub_rank];
+        if (via != kInfCost) covered = std::min(covered, via + it->dist);
+      }
+      if (covered <= static_cast<Cost>(c.dist)) continue;
+    }
+    target.push_back({rank, c.dist, c.parent});
   }
   for (uint32_t r : ctx.scratch_touched) ctx.scratch[r] = kInfCost;
   ctx.scratch_touched.clear();
@@ -748,9 +805,9 @@ LabelRepairDelta HubLabeling::RepairEdgeUpdates(
     bool take_fwd = bi >= bwd_ranks.size() ||
                     (fi < fwd_ranks.size() && fwd_ranks[fi] <= bwd_ranks[bi]);
     uint32_t r = take_fwd ? fwd_ranks[fi++] : bwd_ranks[bi++];
-    PrunedSearch(graph, r, /*forward=*/take_fwd, {{order_[r], 0}}, ctx,
-                 nullptr, &tracker);
+    PrunedSearch(graph, r, /*forward=*/take_fwd, ctx, nullptr, &tracker);
   }
+  KOSR_COUNT(kPrunedRelaxations, ctx.relaxations);
   return FinishRepair(tracker);
 }
 

@@ -118,11 +118,15 @@ class HubLabeling {
   /// of more label entries; a good order is crucial for index size.
   ///
   /// `num_threads` parallelizes construction with rank-batched pruned
-  /// searches (0 = hardware concurrency). The output is byte-identical for
-  /// every thread count: search threads only read labels committed by
-  /// earlier batches, and a sequential commit phase re-checks the prune
-  /// condition in rank order before merging, so exactly the canonical label
-  /// set survives (see DESIGN.md, "Parallel index construction").
+  /// searches (0 = hardware concurrency; 1 runs the plain sequential PLL
+  /// loop). The output is byte-identical for every thread count. A batch's
+  /// searches prune against the labels of earlier batches only and emit
+  /// candidates; the commit then re-checks each candidate against the
+  /// same-batch ranks below its own, which sit in the tails of the label
+  /// vectors. Candidates landing on the batch's own hub vertices commit
+  /// first, in rank order on one thread; every other vertex's candidates
+  /// commit in rank order on the pool thread owning that vertex. See
+  /// DESIGN.md, "Parallel index construction".
   void Build(const Graph& graph, const std::vector<VertexId>& order,
              uint32_t num_threads = 1);
 
@@ -322,16 +326,15 @@ class HubLabeling {
                             const std::vector<std::vector<LabelEntry>>& labels,
                             std::vector<VertexId>& touched);
 
-  // Runs one pruned Dijkstra from hub of rank `rank` in the given direction.
-  // `seeds` is {(hub, 0)} during construction and re-searches, or resumed
-  // frontiers during incremental decrease updates. With `candidates` null
-  // the surviving labels are committed directly (sequential/update mode,
-  // mutates labels; `tracker`, if given, snapshots every label vector just
-  // before its first mutation so the repair can report exactly what
-  // changed); otherwise the search is read-only and appends candidates for
-  // a later commit.
+  // Runs one pruned Dijkstra from the hub of rank `rank` in the given
+  // direction, pruning against the committed label entries of smaller
+  // ranks. With `candidates` null the surviving labels are committed
+  // directly (sequential build and repair re-searches; `tracker`, if given,
+  // snapshots every label vector just before its first mutation so the
+  // repair can report exactly what changed); otherwise the search is
+  // read-only and appends candidates for a later commit. Relaxations
+  // accumulate in `ctx.relaxations`; the context's owner flushes them.
   void PrunedSearch(const Graph& graph, uint32_t rank, bool forward,
-                    const std::vector<std::pair<VertexId, Cost>>& seeds,
                     SearchContext& ctx,
                     std::vector<CandidateLabel>* candidates,
                     RepairTracker* tracker = nullptr);
@@ -349,12 +352,14 @@ class HubLabeling {
   // re-seals exactly the changed flat runs, and assembles the delta.
   LabelRepairDelta FinishRepair(RepairTracker& tracker);
 
-  // Commit phase of the rank-batched parallel build: re-checks every
-  // candidate of `rank` against the labels committed so far (which now
-  // include same-batch ranks < rank) and merges the survivors.
-  void CommitCandidates(uint32_t rank, bool forward,
+  // Commit phase of the rank-batched parallel build for the batch starting
+  // at rank `begin`: appends each candidate of `rank` whose vertex `owns`
+  // accepts, unless same-batch ranks in [begin, rank) cover it (the search
+  // already ruled out every rank below `begin`).
+  template <typename Owns>
+  void CommitCandidates(uint32_t begin, uint32_t rank, bool forward,
                         const std::vector<CandidateLabel>& candidates,
-                        SearchContext& ctx);
+                        SearchContext& ctx, Owns owns);
 
   std::vector<std::vector<LabelEntry>> in_labels_;
   std::vector<std::vector<LabelEntry>> out_labels_;

@@ -486,7 +486,16 @@ UpdateAck KosrService::ApplyBatchLocked(std::span<const EdgeUpdate> batch,
       journal_->SyncIfAlways();
     }
     KOSR_FAILPOINT(kFailpointMidBatchApply);
+    // The repair's work counters (tightness tests, re-searches, pruned
+    // relaxations) land in this thread's private slots; fold the batch's
+    // delta into the shared registry, as the query workers do per request.
+    const bool obs_on = obs::Enabled();
+    obs::EngineCounters before;
+    if (obs_on) before = obs::TlsCounters();
     ack.summary = engine_.ApplyEdgeUpdates(batch);
+    if (obs_on) {
+      metrics_.AddEngineCounters(obs::Diff(obs::TlsCounters(), before));
+    }
     if (journal_) {
       applied_seq_ = std::max(applied_seq_, batch_last_seq);
       applied_seq_hint_.store(applied_seq_, std::memory_order_relaxed);

@@ -32,7 +32,7 @@ inline uint32_t ResolveThreadCount(uint32_t requested) {
 /// `ResolveThreadCount(num_threads) - 1` workers once; every ParallelFor
 /// call then reuses them (dynamic scheduling off a shared atomic counter,
 /// caller participating as thread 0) instead of paying thread creation and
-/// teardown per call — the rank-batched hub-label build issues one call per
+/// teardown per call — the rank-batched hub-label build issues two calls per
 /// batch, hundreds per index, which is exactly the case per-call spawning
 /// was slowest for. Semantics match ParallelForEachIndexWithThread: the
 /// first exception is rethrown on the caller after the call's iterations

@@ -6,6 +6,7 @@
 
 #include "src/graph/generators.h"
 #include "src/graph/graph.h"
+#include "src/obs/counters.h"
 #include "tests/test_util.h"
 
 namespace kosr {
@@ -222,6 +223,62 @@ TEST(HubLabelingTest, ParallelBuildCustomOrderMatchesAndIsCorrect) {
   parallel.Build(g, order, testing::TestThreads());
   ExpectIdenticalLabels(sequential, parallel);
   ExpectAllPairsMatch(g, parallel);
+}
+
+// Builds with `order` at 1 thread and at 2, 3, 4 and TestThreads() threads
+// and checks every parallel build against the sequential one, entry for
+// entry.
+void ExpectParallelBuildsMatch(const Graph& g,
+                               const std::vector<VertexId>& order) {
+  HubLabeling sequential;
+  sequential.Build(g, order, /*num_threads=*/1);
+  std::vector<uint32_t> counts{2, 3, 4};
+  if (testing::TestThreads() > 4) counts.push_back(testing::TestThreads());
+  for (uint32_t threads : counts) {
+    SCOPED_TRACE(::testing::Message() << "threads=" << threads);
+    HubLabeling parallel;
+    parallel.Build(g, order, threads);
+    ExpectIdenticalLabels(sequential, parallel);
+  }
+}
+
+TEST(HubLabelingTest, ParallelBuildDissectionOrderIsByteIdentical) {
+  // The production order on a grid with highway chords: the top separator
+  // hubs' searches are large and their same-batch entries cover much of
+  // each other's candidates.
+  Graph g = MakeGridRoadNetwork(32, 32, /*seed=*/23, 10, 100,
+                                /*highway_fraction=*/0.01);
+  ExpectParallelBuildsMatch(g, GridDissectionOrder(32, 32));
+}
+
+TEST(HubLabelingTest, ParallelBuildIdentityOrderIsByteIdentical) {
+  // Identity order on a random graph: hubs of one batch barely prune each
+  // other, so many full-cap batches put candidates on the batch's own hub
+  // vertices, the ones the commit takes first on one thread.
+  constexpr uint32_t kN = 1000;
+  Graph g = MakeRandomGraph(kN, 2 * kN, /*seed=*/41);
+  std::vector<VertexId> order(kN);
+  for (VertexId v = 0; v < kN; ++v) order[v] = v;
+  ExpectParallelBuildsMatch(g, order);
+}
+
+TEST(HubLabelingTest, ParallelBuildCountsEveryThreadsRelaxations) {
+  if (!obs::Enabled()) GTEST_SKIP() << "KOSR_OBS_OFF=1 in the environment";
+  Graph g = MakeGridRoadNetwork(24, 24, /*seed=*/5);
+  std::vector<VertexId> order = GridDissectionOrder(24, 24);
+  auto relaxations = [&](uint32_t threads) {
+    const auto& slots = obs::TlsCounters();
+    uint64_t before = slots.Get(obs::Counter::kPrunedRelaxations);
+    HubLabeling hl;
+    hl.Build(g, order, threads);
+    return slots.Get(obs::Counter::kPrunedRelaxations) - before;
+  };
+  // A batched search prunes against fewer ranks than the sequential one,
+  // so it settles every vertex the sequential search settles, and the
+  // calling thread must see at least the sequential count.
+  uint64_t sequential = relaxations(1);
+  EXPECT_GT(sequential, 0u);
+  EXPECT_GE(relaxations(4), sequential);
 }
 
 TEST(HubLabelingTest, ParallelDegreeOrderMatchesSequential) {

@@ -465,6 +465,23 @@ TEST(ServiceTest, EngineCountersAndStageSpansFlowIntoMetrics) {
   EXPECT_TRUE(v.At("slow_queries").IsArray());
 }
 
+TEST(ServiceTest, EdgeUpdateRepairCountersFlowIntoMetrics) {
+  if (!obs::Enabled()) GTEST_SKIP() << "KOSR_OBS_OFF=1 in the environment";
+  KosrService service(MakeLineEngine(), {.num_workers = 1});
+  // A 0 -> 2 shortcut of weight 1 beats the two-hop route, so the repair
+  // must test hubs for tightness and re-run the affected searches.
+  ASSERT_TRUE(service.SetEdgeWeight(0, 2, 1).summary.labels_changed);
+  MetricsSnapshot snapshot = service.Metrics();
+  EXPECT_GT(snapshot.counters[static_cast<size_t>(
+                obs::Counter::kRepairTightnessTests)],
+            0u);
+  EXPECT_GT(snapshot.counters[static_cast<size_t>(
+                obs::Counter::kRepairResearches)],
+            0u);
+  obs::JsonValue v = obs::ParseJson(snapshot.ToJson());
+  EXPECT_GT(v.At("counters").At("repair_researches").number, 0.0);
+}
+
 TEST(ServiceTest, SlowQueryLogRetainsMostRecentTraces) {
   if (!obs::Enabled()) GTEST_SKIP() << "KOSR_OBS_OFF=1 in the environment";
   ServiceConfig config;
