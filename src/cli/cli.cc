@@ -53,7 +53,8 @@ Commands:
                incremental label repair)]
   serve        --graph graph.gr --categories cats.txt [--num-categories N]
                [--indexes snapshot.bin] [--order degree|dissection
-               --rows R --cols C] [--threads T (index build at startup)]
+               --rows R --cols C] [--threads T (startup index build, live
+               label repairs and journal replay; 0 = all cores, default 1)]
                [--workers W] [--queue-capacity Q]
                [--cache-capacity C] [--cache-shards S]
                [--time-budget S (per-query seconds, default 30, 0=unlimited)]
@@ -205,14 +206,18 @@ KosrEngine LoadEngine(const Args& args) {
   return KosrEngine(std::move(graph), std::move(cats));
 }
 
-void BuildWithRequestedOrder(const Args& args, KosrEngine& engine) {
+uint32_t ThreadsArg(const Args& args) {
   // --threads 0 means "use the hardware"; negatives (and values past the
   // 32-bit range) would otherwise wrap through the unsigned cast.
   long long threads = args.GetIntOr("threads", 1);
   if (threads < 0 || threads > std::numeric_limits<uint32_t>::max()) {
     throw std::invalid_argument("--threads must be in [0, 2^32)");
   }
-  uint32_t num_threads = static_cast<uint32_t>(threads);
+  return static_cast<uint32_t>(threads);
+}
+
+void BuildWithRequestedOrder(const Args& args, KosrEngine& engine) {
+  uint32_t num_threads = ThreadsArg(args);
   std::string order = args.GetOr("order", "degree");
   if (order == "dissection") {
     uint32_t rows = static_cast<uint32_t>(args.GetInt("rows"));
@@ -343,6 +348,7 @@ int CmdServe(const Args& args, std::istream& in, std::ostream& out) {
       std::ifstream file(*snapshot, std::ios::binary);
       if (!file) throw std::runtime_error("cannot open " + *snapshot);
       engine->LoadIndexes(file);
+      engine->set_repair_threads(ThreadsArg(args));
     } else {
       BuildWithRequestedOrder(args, *engine);
     }
@@ -356,6 +362,7 @@ int CmdServe(const Args& args, std::istream& in, std::ostream& out) {
     options.dir = *journal_dir;
     options.fsync_policy = *fsync_policy;
     options.fsync_interval_s = fsync_interval;
+    options.num_threads = ThreadsArg(args);
     durability::RecoveredState recovered =
         durability::Recover(options, make_engine);
     engine = std::move(recovered.engine);

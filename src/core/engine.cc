@@ -147,6 +147,7 @@ void KosrEngine::BuildIndexes(uint32_t num_threads) {
 void KosrEngine::BuildIndexes(const std::vector<VertexId>& order,
                               uint32_t num_threads) {
   MutableLabeling().Build(*graph_, order, num_threads);
+  repair_threads_ = num_threads;
   label_build_seconds_ = labeling_->BuildSeconds();
   WallTimer timer;
   // Categories are independent of one another, so each inverted index build
@@ -259,63 +260,18 @@ void KosrEngine::AbsorbLabelRepair(LabelRepairDelta delta,
 
 EdgeUpdateSummary KosrEngine::AddOrDecreaseEdge(VertexId u, VertexId v,
                                                 Weight w) {
-  // In-place arc update; a no-op (existing weight already <= w, or a self
-  // loop) leaves the graph and every index untouched, so repeated updates
-  // to the same edge can neither grow the arc lists nor trigger repairs.
-  EdgeUpdateSummary summary;
-  if (u >= graph_->num_vertices() || v >= graph_->num_vertices()) {
-    throw std::invalid_argument("arc endpoint outside the vertex universe");
-  }
-  if (u == v || graph_->ArcWeight(u, v) <= static_cast<Cost>(w)) {
-    return summary;  // no-op: leave the shared graph untouched (no clone)
-  }
-  MutableGraph().AddOrDecreaseArc(u, v, w);
-  summary.graph_changed = true;
-  if (indexes_built_) {
-    AbsorbLabelRepair(MutableLabeling().OnEdgeDecreased(*graph_, u, v, w),
-                      summary);
-  }
-  return summary;
+  const EdgeUpdate update{EdgeUpdate::Kind::kAddOrDecrease, u, v, w};
+  return ApplyEdgeUpdates({&update, 1});
 }
 
 EdgeUpdateSummary KosrEngine::SetEdgeWeight(VertexId u, VertexId v, Weight w) {
-  EdgeUpdateSummary summary;
-  if (u >= graph_->num_vertices() || v >= graph_->num_vertices()) {
-    throw std::invalid_argument("arc endpoint outside the vertex universe");
-  }
-  if (u == v) return summary;  // self loops are dropped, as everywhere
-  Cost old = graph_->ArcWeight(u, v);
-  if (old == static_cast<Cost>(w)) return summary;  // already exactly w
-  MutableGraph().SetArcWeight(u, v, w);
-  summary.graph_changed = true;
-  if (indexes_built_) {
-    LabelRepairDelta delta =
-        static_cast<Cost>(w) < old
-            ? MutableLabeling().OnEdgeDecreased(*graph_, u, v, w)
-            : MutableLabeling().OnEdgeIncreased(*graph_, u, v,
-                                                static_cast<Weight>(old));
-    AbsorbLabelRepair(std::move(delta), summary);
-  }
-  return summary;
+  const EdgeUpdate update{EdgeUpdate::Kind::kSet, u, v, w};
+  return ApplyEdgeUpdates({&update, 1});
 }
 
 EdgeUpdateSummary KosrEngine::RemoveEdge(VertexId u, VertexId v) {
-  EdgeUpdateSummary summary;
-  if (u >= graph_->num_vertices() || v >= graph_->num_vertices()) {
-    throw std::invalid_argument("arc endpoint outside the vertex universe");
-  }
-  // Probe before mutating so an absent arc (or self loop) never clones the
-  // shared graph; RemoveArc itself re-checks and drops self loops.
-  if (u == v || graph_->ArcWeight(u, v) == kInfCost) return summary;
-  std::optional<Cost> old = MutableGraph().RemoveArc(u, v);
-  if (!old.has_value()) return summary;
-  summary.graph_changed = true;
-  if (indexes_built_) {
-    AbsorbLabelRepair(MutableLabeling().OnEdgeRemoved(
-                          *graph_, u, v, static_cast<Weight>(*old)),
-                      summary);
-  }
-  return summary;
+  const EdgeUpdate update{EdgeUpdate::Kind::kRemove, u, v, 0};
+  return ApplyEdgeUpdates({&update, 1});
 }
 
 EdgeUpdateSummary KosrEngine::ApplyEdgeUpdates(
@@ -357,9 +313,8 @@ EdgeUpdateSummary KosrEngine::ApplyEdgeUpdates(
   if (!summary.graph_changed || !indexes_built_) return summary;
 
   // Pass 2 — coalesce per-arc to the net (pre-batch, post-batch) weight
-  // change and emit exactly the tights the single-update entry points
-  // would: a net decrease or insertion engages only the new-graph test, a
-  // net increase or deletion only the old-graph test. Arcs that ended at
+  // change: a net decrease or insertion engages only the new-graph test,
+  // a net increase or deletion only the old-graph test. Arcs that ended at
   // their pre-batch weight repair nothing.
   std::vector<HubLabeling::EdgeRepairRequest> requests;
   requests.reserve(first_old.size());
@@ -378,8 +333,9 @@ EdgeUpdateSummary KosrEngine::ApplyEdgeUpdates(
   }
   if (requests.empty()) return summary;
 
-  AbsorbLabelRepair(MutableLabeling().RepairEdgeUpdates(*graph_, requests),
-                    summary);
+  AbsorbLabelRepair(
+      MutableLabeling().RepairEdgeUpdates(*graph_, requests, repair_threads_),
+      summary);
   return summary;
 }
 

@@ -68,7 +68,8 @@ class KosrEngine {
   /// `num_threads` parallelizes the whole pipeline — the degree-order sort,
   /// the rank-batched hub-label construction, and the per-category inverted
   /// index builds (0 = hardware concurrency). The resulting indexes are
-  /// byte-identical for every thread count.
+  /// byte-identical for every thread count. The engine keeps the count for
+  /// the label repairs of later edge updates (see set_repair_threads).
   void BuildIndexes(uint32_t num_threads = 1);
   /// Same with an explicit hub order (e.g. a grid dissection order or a CH
   /// importance order — see DESIGN.md on ordering quality).
@@ -107,7 +108,9 @@ class KosrEngine {
   /// (affected-hub re-searches), and patches only the inverted lists of
   /// hubs whose labels actually changed. A no-op update (w >= the current
   /// weight) touches nothing (`graph_changed == false`), so callers (the
-  /// service's cache invalidation) can skip their own reactions too.
+  /// service's cache invalidation) can skip their own reactions too. Like
+  /// SetEdgeWeight and RemoveEdge, this is ApplyEdgeUpdates on a batch of
+  /// one.
   EdgeUpdateSummary AddOrDecreaseEdge(VertexId u, VertexId v, Weight w);
 
   /// Graph update: sets the u->v weight to exactly `w` — decrease, insert,
@@ -124,12 +127,13 @@ class KosrEngine {
   /// absent arc is a no-op.
   EdgeUpdateSummary RemoveEdge(VertexId u, VertexId v);
 
-  /// Applies a whole batch of edge updates with ONE canonical repair
-  /// (ISSUE 8): every graph mutation is applied first (recording each
-  /// arc's pre-batch weight on first touch), per-arc updates coalesce to
-  /// their net effect (arcs that end where they started repair nothing),
-  /// and the surviving net changes run one batched affected-hub repair —
-  /// the union of the per-update affected sets, each hub re-searched once.
+  /// Applies a whole batch of edge updates with ONE canonical repair on
+  /// repair_threads() threads: every graph mutation is applied first
+  /// (recording each arc's pre-batch weight on first touch), per-arc
+  /// updates coalesce to their net effect (arcs that end where they
+  /// started repair nothing), and the surviving net changes run one
+  /// batched affected-hub repair — the union of the per-update affected
+  /// sets, each hub re-searched once.
   /// The resulting labels are byte-identical to applying the updates one
   /// at a time (and to a from-scratch rebuild). The summary's
   /// graph_changed reports whether any mutation touched the graph object;
@@ -174,6 +178,14 @@ class KosrEngine {
     return *inverted_[c];
   }
   bool indexes_built() const { return indexes_built_; }
+  /// Threads every later edge update's label repair runs on (0 = hardware
+  /// concurrency); the result does not depend on it. BuildIndexes sets it
+  /// to its own count; an engine whose indexes were loaded instead keeps
+  /// 1 until set.
+  uint32_t repair_threads() const { return repair_threads_; }
+  void set_repair_threads(uint32_t num_threads) {
+    repair_threads_ = num_threads;
+  }
   double label_build_seconds() const { return label_build_seconds_; }
   double inverted_build_seconds() const { return inverted_build_seconds_; }
 
@@ -201,6 +213,7 @@ class KosrEngine {
   std::shared_ptr<HubLabeling> labeling_;
   std::vector<std::shared_ptr<InvertedLabelIndex>> inverted_;
   bool indexes_built_ = false;
+  uint32_t repair_threads_ = 1;
   double label_build_seconds_ = 0;
   double inverted_build_seconds_ = 0;
 };

@@ -46,6 +46,7 @@ RecoveredState Recover(
   } else {
     state.engine = seed_engine();
   }
+  state.engine->set_repair_threads(options.num_threads);
   state.stats.checkpoint_load_s = SecondsSince(start);
 
   start = std::chrono::steady_clock::now();

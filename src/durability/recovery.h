@@ -16,6 +16,10 @@ struct RecoveryOptions {
   FsyncPolicy fsync_policy = FsyncPolicy::kAlways;
   /// Group-commit interval for FsyncPolicy::kInterval.
   double fsync_interval_s = 0.05;
+  /// Threads of the replayed label repairs and of every later update's
+  /// repair: Recover sets the recovered engine's repair_threads() to it
+  /// (0 = hardware concurrency). The result does not depend on it.
+  uint32_t num_threads = 1;
 };
 
 struct RecoveryStats {

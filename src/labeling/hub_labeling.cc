@@ -21,12 +21,18 @@
 namespace kosr {
 namespace {
 
+// First entry of rank >= `rank` in a rank-sorted label vector.
+template <typename Labels>
+auto LowerBoundRank(Labels& labels, uint32_t rank) {
+  return std::lower_bound(
+      labels.begin(), labels.end(), rank,
+      [](const LabelEntry& e, uint32_t r) { return e.hub_rank < r; });
+}
+
 // Binary search for a rank in a rank-sorted label vector. Returns nullptr if
 // absent.
 const LabelEntry* FindRank(std::span<const LabelEntry> labels, uint32_t rank) {
-  auto it = std::lower_bound(
-      labels.begin(), labels.end(), rank,
-      [](const LabelEntry& e, uint32_t r) { return e.hub_rank < r; });
+  auto it = LowerBoundRank(labels, rank);
   if (it == labels.end() || it->hub_rank != rank) return nullptr;
   return &*it;
 }
@@ -39,10 +45,7 @@ bool InsertOrUpdate(std::vector<LabelEntry>& labels, const LabelEntry& entry) {
     labels.push_back(entry);
     return true;
   }
-  auto it = std::lower_bound(labels.begin(), labels.end(), entry.hub_rank,
-                             [](const LabelEntry& e, uint32_t r) {
-                               return e.hub_rank < r;
-                             });
+  auto it = LowerBoundRank(labels, entry.hub_rank);
   if (it != labels.end() && it->hub_rank == entry.hub_rank) {
     if (entry.dist < it->dist) {
       *it = entry;
@@ -286,24 +289,38 @@ void HubLabeling::Build(const Graph& graph, const std::vector<VertexId>& order,
   order_ = order;
   rank_.assign(n, 0);
   for (uint32_t r = 0; r < n; ++r) rank_[order_[r]] = r;
+  std::vector<HubSearch> searches;
+  searches.reserve(2 * static_cast<size_t>(n));
+  for (uint32_t r = 0; r < n; ++r) {
+    searches.push_back({r, /*forward=*/true});
+    searches.push_back({r, /*forward=*/false});
+  }
+  SearchAndCommit(graph, searches, num_threads, nullptr);
+  Seal();
+  build_seconds_ = timer.ElapsedSeconds();
+}
 
-  num_threads = ResolveThreadCount(num_threads);
-  if (num_threads == 1) {
+void HubLabeling::SearchAndCommit(const Graph& graph,
+                                  std::span<const HubSearch> searches,
+                                  uint32_t num_threads,
+                                  RepairTracker* tracker) {
+  const uint32_t n = num_vertices();
+  // More threads than searches would only idle.
+  num_threads = static_cast<uint32_t>(
+      std::min<uint64_t>(ResolveThreadCount(num_threads), searches.size()));
+  if (num_threads <= 1) {
     // Sequential path: labels commit directly during the search (the prune
     // there already runs against the fully committed prefix), so there is
     // nothing to re-check.
     SearchContext ctx(n);
-    for (uint32_t r = 0; r < n; ++r) {
-      PrunedSearch(graph, r, /*forward=*/true, ctx, nullptr);
-      PrunedSearch(graph, r, /*forward=*/false, ctx, nullptr);
+    for (const HubSearch& s : searches) {
+      PrunedSearch(graph, s.rank, s.forward, ctx, nullptr, tracker);
     }
     KOSR_COUNT(kPrunedRelaxations, ctx.relaxations);
-    Seal();
-    build_seconds_ = timer.ElapsedSeconds();
     return;
   }
 
-  // One persistent pool for the whole build: the batch loop below issues
+  // One persistent pool for the whole call: the batch loop below issues
   // two parallel-fors per batch (hundreds per index), and respawning
   // threads each time dominated small-batch wall time.
   ThreadPool pool(num_threads);
@@ -314,98 +331,115 @@ void HubLabeling::Build(const Graph& graph, const std::vector<VertexId>& order,
     contexts.push_back(std::make_unique<SearchContext>(n));
   }
 
-  // Rank-batched construction. Threads run pruned searches for every hub of
-  // the batch against the labels committed by *earlier* batches only (the
-  // label vectors are never written while searches run, so sharing them is
-  // race-free); the weaker prune admits extra candidates, which the commit
-  // below re-checks against the same-batch smaller ranks, so exactly the
-  // canonical (sequential) label set survives. Batches start at size 1
+  // Rank-batched searches. A batch holds the searches of the next
+  // `batch_ranks` searched ranks. Threads run them against the labels
+  // committed before the batch (the label vectors are never written while
+  // searches run, so sharing them is race-free); the weaker prune admits
+  // extra candidates, which the commit below re-checks against the entries
+  // the batch committed before each candidate's rank, so exactly the
+  // canonical (sequential) label set survives. Batches start at one rank
   // because the top hubs have the largest searches and their labels prune
   // everything after them; the cap keeps all threads busy on the long tail
   // of small searches.
   //
   // The commit runs in two steps. Whether candidate (rank, x) survives
-  // depends only on the hub's opposite-side same-batch entries and on x's
-  // own same-side same-batch entries of smaller rank. So the candidates on
-  // the batch's own hub vertices commit first, in rank order on this
-  // thread: their decisions read hub vertices only. After that every hub's
-  // entries are final for the batch, and each remaining vertex depends on
-  // nothing but itself, so pool task p commits, in rank order, the
-  // candidates of the vertices x with x % num_threads == p.
+  // depends only on the hub's opposite-side entries and on x's own
+  // same-side entries. So the candidates on the batch's own hub vertices
+  // commit first, in rank order on this thread: their decisions read hub
+  // vertices only. After that every hub's entries are final for the
+  // batch, and each remaining vertex depends on nothing but itself, so
+  // pool task p commits, in rank order, the candidates of the vertices x
+  // with x % num_threads == p.
   //
-  // Concurrency contract (DESIGN.md, "Concurrency contract"): this build
+  // Concurrency contract (DESIGN.md, "Concurrency contract"): this routine
   // deliberately owns no lock. Each search task writes only its own
   // disjoint candidates[task] slot, each commit task writes only the label
   // vectors of the vertices it owns while reading hub vertices' vectors,
   // which nothing writes in that step, and ParallelFor's internal mutex is
   // the barrier whose release/acquire ordering publishes each step's
-  // writes to the next. Adding shared mutable state here means adding a
-  // capability-annotated Mutex, not an atomic sprinkled in.
+  // writes to the next. The repair tracker and the vectors' growth are
+  // touched on this thread only. Adding shared mutable state here means
+  // adding a capability-annotated Mutex, not an atomic sprinkled in.
   const uint32_t batch_cap = std::max<uint32_t>(8 * num_threads, 64);
   std::vector<std::vector<CandidateLabel>> candidates;
   // Candidate counts per label vector (Lin(x) at x, Lout(x) at n + x) and
   // the indexes counted, for growing the vectors before each commit.
   std::vector<uint32_t> incoming(2 * static_cast<size_t>(n), 0);
   std::vector<size_t> counted;
-  uint32_t batch_size = 1;
-  for (uint32_t begin = 0; begin < n; begin += batch_size,
-                batch_size = std::min(batch_size * 2, batch_cap)) {
-    batch_size = std::min(batch_size, n - begin);
-    const uint32_t end = begin + batch_size;
-    const uint32_t tasks = 2 * batch_size;  // (rank, direction) pairs
-    candidates.assign(tasks, {});
-    pool.ParallelFor(tasks, [&](uint64_t task, uint32_t thread) {
-      uint32_t rank = begin + static_cast<uint32_t>(task) / 2;
-      bool forward = task % 2 == 0;
-      PrunedSearch(graph, rank, forward, *contexts[thread], &candidates[task]);
+  // Hub vertices of the current batch's searches.
+  std::vector<bool> batch_hub(n, false);
+  uint32_t batch_ranks = 1;
+  for (size_t lo = 0; lo < searches.size();
+       batch_ranks = std::min(batch_ranks * 2, batch_cap)) {
+    size_t hi = lo;
+    for (uint32_t ranks = 0; ranks < batch_ranks && hi < searches.size();
+         ++ranks) {
+      const uint32_t rank = searches[hi].rank;
+      while (hi < searches.size() && searches[hi].rank == rank) ++hi;
+    }
+    const std::span<const HubSearch> batch = searches.subspan(lo, hi - lo);
+    const uint32_t begin = batch.front().rank;
+    lo = hi;
+    candidates.assign(batch.size(), {});
+    pool.ParallelFor(batch.size(), [&](uint64_t task, uint32_t thread) {
+      PrunedSearch(graph, batch[task].rank, batch[task].forward,
+                   *contexts[thread], &candidates[task]);
     });
     // Label vectors grow on this thread only: each vector the batch may
-    // append to gets room for all its candidates first, so the commit's
+    // insert into gets room for all its candidates first, so the commit's
     // pool threads never reallocate one. A block a pool thread allocates
     // comes from that thread's malloc arena, which the label copies that
     // later updates make on other threads cannot reuse, so a server would
-    // hold about one extra label copy after its first updates.
-    for (uint32_t task = 0; task < tasks; ++task) {
-      const size_t side = task % 2 == 0 ? 0 : n;
+    // hold about one extra label copy after its first updates. A build's
+    // vectors grow in batch after batch, so they double to keep the growth
+    // amortized; a repair's vectors are copied tight and mostly regain
+    // what the scrub removed, so they grow by exactly the batch's
+    // candidates (doubling them left about 30 MB more in use after a
+    // 20-update batch on an 80x80 grid). The same pass hands the repair
+    // tracker each vector's pre-image.
+    for (size_t task = 0; task < batch.size(); ++task) {
+      const size_t side = batch[task].forward ? 0 : n;
       for (const CandidateLabel& c : candidates[task]) {
         if (incoming[side + c.vertex]++ == 0) counted.push_back(side + c.vertex);
       }
     }
     for (size_t i : counted) {
-      auto& labels = i < n ? in_labels_[i] : out_labels_[i - n];
+      const bool in_side = i < n;
+      const VertexId x = static_cast<VertexId>(in_side ? i : i - n);
+      auto& labels = in_side ? in_labels_[x] : out_labels_[x];
+      if (tracker != nullptr) tracker->Capture(in_side, x, labels);
       const size_t want = labels.size() + incoming[i];
       if (want > labels.capacity()) {
-        labels.reserve(std::max(want, 2 * labels.capacity()));
+        labels.reserve(tracker != nullptr
+                           ? want
+                           : std::max(want, 2 * labels.capacity()));
       }
       incoming[i] = 0;
     }
     counted.clear();
+    for (const HubSearch& s : batch) batch_hub[order_[s.rank]] = true;
     // Commit slot of vertex x: 0 for the batch's hub vertices, 1 + the
     // owning pool task otherwise.
     auto slot_of = [&](VertexId x) -> uint32_t {
-      return rank_[x] >= begin && rank_[x] < end ? 0 : 1 + x % num_threads;
+      return batch_hub[x] ? 0 : 1 + x % num_threads;
     };
-    // Rank order, forward before backward — the same order the sequential
-    // build writes labels in.
+    // Canonical order, the same order the sequential path writes labels in.
     auto commit = [&](uint32_t slot, SearchContext& ctx) {
       auto owns = [&](VertexId x) { return slot_of(x) == slot; };
-      for (uint32_t rank = begin; rank < end; ++rank) {
-        CommitCandidates(begin, rank, /*forward=*/true,
-                         candidates[2 * (rank - begin)], ctx, owns);
-        CommitCandidates(begin, rank, /*forward=*/false,
-                         candidates[2 * (rank - begin) + 1], ctx, owns);
+      for (size_t task = 0; task < batch.size(); ++task) {
+        CommitCandidates(begin, batch[task].rank, batch[task].forward,
+                         candidates[task], ctx, owns);
       }
     };
     commit(0, *contexts[0]);
     pool.ParallelFor(num_threads, [&](uint64_t task, uint32_t thread) {
       commit(1 + static_cast<uint32_t>(task), *contexts[thread]);
     });
+    for (const HubSearch& s : batch) batch_hub[order_[s.rank]] = false;
   }
   uint64_t relaxations = 0;
   for (const auto& ctx : contexts) relaxations += ctx->relaxations;
   KOSR_COUNT(kPrunedRelaxations, relaxations);
-  Seal();
-  build_seconds_ = timer.ElapsedSeconds();
 }
 
 void HubLabeling::PrunedSearch(const Graph& graph, uint32_t rank, bool forward,
@@ -492,36 +526,39 @@ void HubLabeling::CommitCandidates(
     uint32_t begin, uint32_t rank, bool forward,
     const std::vector<CandidateLabel>& candidates, SearchContext& ctx,
     Owns owns) {
-  // The search emitted a candidate only if ranks below `begin` leave it
-  // uncovered, so the full prune check reduces to the same-batch ranks
-  // [begin, rank). Commits append in rank order, so those entries are the
-  // tails of the hub-side and target-side vectors, at most one batch long.
-  // The hub side may already hold larger same-batch ranks (the hub-vertex
-  // step commits all of them first); those are skipped.
+  // The search emitted a candidate only if the entries present when it ran
+  // leave it uncovered: every rank below `begin` and, in a repair, every
+  // rank the batch does not re-search. What it could not see are the
+  // entries this batch committed since, all of rank in [begin, rank), so
+  // the re-check scans that rank range on both sides. In a repair,
+  // entries of unsearched larger ranks sit behind the range, so it is
+  // found by binary search and the candidate is inserted at its rank
+  // position; in a build the range is the vectors' tail.
   VertexId hub = order_[rank];
   const auto& hub_labels = forward ? out_labels_[hub] : in_labels_[hub];
-  for (auto it = hub_labels.rbegin();
-       it != hub_labels.rend() && it->hub_rank >= begin; ++it) {
-    if (it->hub_rank >= rank) continue;
+  for (auto it = LowerBoundRank(hub_labels, begin);
+       it != hub_labels.end() && it->hub_rank < rank; ++it) {
     ctx.scratch[it->hub_rank] = it->dist;
     ctx.scratch_touched.push_back(it->hub_rank);
   }
-  // With no same-batch entry on the hub side nothing can cover a candidate.
+  // With no hub-side entry in the range nothing can cover a candidate.
   const bool check = !ctx.scratch_touched.empty();
   for (const CandidateLabel& c : candidates) {
     if (!owns(c.vertex)) continue;
     auto& target = forward ? in_labels_[c.vertex] : out_labels_[c.vertex];
-    assert(target.empty() || target.back().hub_rank < rank);
-    if (check) {
+    auto pos = target.end();
+    if (!target.empty() && target.back().hub_rank >= begin) {
       Cost covered = kInfCost;
-      for (auto it = target.rbegin();
-           it != target.rend() && it->hub_rank >= begin; ++it) {
-        Cost via = ctx.scratch[it->hub_rank];
-        if (via != kInfCost) covered = std::min(covered, via + it->dist);
+      for (pos = LowerBoundRank(target, begin);
+           pos != target.end() && pos->hub_rank < rank; ++pos) {
+        if (!check) continue;
+        Cost via = ctx.scratch[pos->hub_rank];
+        if (via != kInfCost) covered = std::min(covered, via + pos->dist);
       }
+      assert(pos == target.end() || pos->hub_rank > rank);
       if (covered <= static_cast<Cost>(c.dist)) continue;
     }
-    target.push_back({rank, c.dist, c.parent});
+    target.insert(pos, {rank, c.dist, c.parent});
   }
   for (uint32_t r : ctx.scratch_touched) ctx.scratch[r] = kInfCost;
   ctx.scratch_touched.clear();
@@ -654,48 +691,9 @@ std::vector<VertexId> HubLabeling::UnpackPath(VertexId s, VertexId t) const {
   return path;
 }
 
-LabelRepairDelta HubLabeling::OnEdgeDecreased(const Graph& graph, VertexId u,
-                                              VertexId v, Weight w) {
-  // Short-circuit: if some existing route already beats the new weight
-  // strictly, the arc lies on no shortest path (old or new) and no label
-  // can change — one label query instead of the affected-hub sweep. An
-  // equal-cost route does NOT qualify: the new arc then ties onto shortest
-  // paths and can re-tie canonical parents and cover paths.
-  if (Query(u, v) < static_cast<Cost>(w)) return {};
-  return RepairEdgeUpdate(graph, u, v, std::nullopt, static_cast<Cost>(w));
-}
-
-LabelRepairDelta HubLabeling::OnEdgeIncreased(const Graph& graph, VertexId u,
-                                              VertexId v, Weight old_weight) {
-  // Mirror short-circuit: if another route already beat the *old* weight
-  // strictly, the arc was on no shortest path and raising it further
-  // changes nothing. Only the old-graph tightness test applies — the
-  // raised arc cannot join a shortest path it was not already on.
-  if (Query(u, v) < static_cast<Cost>(old_weight)) return {};
-  return RepairEdgeUpdate(graph, u, v, static_cast<Cost>(old_weight),
-                          std::nullopt);
-}
-
-LabelRepairDelta HubLabeling::OnEdgeRemoved(const Graph& graph, VertexId u,
-                                            VertexId v, Weight old_weight) {
-  // A deletion is a weight increase to infinity: only the old-graph
-  // tightness test applies, and the re-run searches simply no longer see
-  // the arc.
-  if (Query(u, v) < static_cast<Cost>(old_weight)) return {};
-  return RepairEdgeUpdate(graph, u, v, static_cast<Cost>(old_weight),
-                          std::nullopt);
-}
-
-LabelRepairDelta HubLabeling::RepairEdgeUpdate(const Graph& graph, VertexId u,
-                                               VertexId v,
-                                               std::optional<Cost> tight_old,
-                                               std::optional<Cost> tight_new) {
-  EdgeRepairRequest request{u, v, tight_old, tight_new};
-  return RepairEdgeUpdates(graph, {&request, 1});
-}
-
 LabelRepairDelta HubLabeling::RepairEdgeUpdates(
-    const Graph& graph, std::span<const EdgeRepairRequest> requests) {
+    const Graph& graph, std::span<const EdgeRepairRequest> requests,
+    uint32_t num_threads) {
   const uint32_t n = num_vertices();
 
   // Per-request short-circuit on the shared pre-batch labels: when an
@@ -703,8 +701,10 @@ LabelRepairDelta HubLabeling::RepairEdgeUpdates(
   // neither of its tightness tests can fire for any hub (dis(h, v) <=
   // dis(h, u) + dis(u, v) < dis(h, u) + tight, so neither the equality
   // nor the <= test is satisfiable) — skip the request without the
-  // affected-hub sweep. This is the batched form of the one-label-query
-  // short-circuit in OnEdgeDecreased / OnEdgeIncreased.
+  // affected-hub sweep. A strictly cheaper existing route makes the arc
+  // lie on no shortest path, old or new; an equal-cost one does not
+  // qualify, because the arc then ties onto shortest paths and can re-tie
+  // canonical parents and cover paths.
   std::vector<const EdgeRepairRequest*> active;
   active.reserve(requests.size());
   for (const EdgeRepairRequest& request : requests) {
@@ -734,7 +734,7 @@ LabelRepairDelta HubLabeling::RepairEdgeUpdates(
   // publication") gives the exactness argument. Because the hub order is
   // a permutation of all vertices, empty tight sets certify that no
   // pair's distance (and no label entry) changed at all.
-  std::vector<uint32_t> fwd_ranks, bwd_ranks;
+  std::vector<HubSearch> searches;  // canonical order
   std::vector<bool> fwd_affected(n, false), bwd_affected(n, false);
   for (uint32_t r = 0; r < n; ++r) {
     VertexId h = order_[r];
@@ -745,7 +745,6 @@ LabelRepairDelta HubLabeling::RepairEdgeUpdates(
           Cost hv = Query(h, request->v);
           if ((request->tight_old && hu + *request->tight_old == hv) ||
               (request->tight_new && hu + *request->tight_new <= hv)) {
-            fwd_ranks.push_back(r);
             fwd_affected[r] = true;
           }
         }
@@ -756,16 +755,17 @@ LabelRepairDelta HubLabeling::RepairEdgeUpdates(
           Cost uh = Query(request->u, h);
           if ((request->tight_old && *request->tight_old + vh == uh) ||
               (request->tight_new && *request->tight_new + vh <= uh)) {
-            bwd_ranks.push_back(r);
             bwd_affected[r] = true;
           }
         }
       }
       if (fwd_affected[r] && bwd_affected[r]) break;
     }
+    if (fwd_affected[r]) searches.push_back({r, /*forward=*/true});
+    if (bwd_affected[r]) searches.push_back({r, /*forward=*/false});
   }
   KOSR_COUNT(kRepairTightnessTests, static_cast<uint64_t>(n) * active.size());
-  if (fwd_ranks.empty() && bwd_ranks.empty()) return {};
+  if (searches.empty()) return {};
 
   // Phase 2 — drop every label entry owned by an affected hub. Entries can
   // move to new vertices after the update (weaker coverage), so a full
@@ -793,21 +793,14 @@ LabelRepairDelta HubLabeling::RepairEdgeUpdates(
   }
 
   // Phase 3 — re-run the affected hubs' pruned searches against the updated
-  // graph, interleaved in ascending rank order with forward before backward
-  // at equal rank: exactly the order the sequential build commits in, so
-  // every prune runs against the canonical label prefix (smaller affected
-  // ranks already repaired, unaffected ranks provably unchanged) and the
-  // committed entries are byte-identical to a from-scratch build's.
-  KOSR_COUNT(kRepairResearches, fwd_ranks.size() + bwd_ranks.size());
-  SearchContext ctx(n);
-  size_t fi = 0, bi = 0;
-  while (fi < fwd_ranks.size() || bi < bwd_ranks.size()) {
-    bool take_fwd = bi >= bwd_ranks.size() ||
-                    (fi < fwd_ranks.size() && fwd_ranks[fi] <= bwd_ranks[bi]);
-    uint32_t r = take_fwd ? fwd_ranks[fi++] : bwd_ranks[bi++];
-    PrunedSearch(graph, r, /*forward=*/take_fwd, ctx, nullptr, &tracker);
-  }
-  KOSR_COUNT(kPrunedRelaxations, ctx.relaxations);
+  // graph through Build's search-and-commit routine, in ascending rank
+  // order with forward before backward at equal rank: exactly the order
+  // the sequential build commits in, so every prune runs against the
+  // canonical label prefix (smaller affected ranks already repaired,
+  // unaffected ranks provably unchanged) and the committed entries are
+  // byte-identical to a from-scratch build's.
+  KOSR_COUNT(kRepairResearches, searches.size());
+  SearchAndCommit(graph, searches, num_threads, &tracker);
   return FinishRepair(tracker);
 }
 

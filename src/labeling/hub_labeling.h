@@ -119,14 +119,10 @@ class HubLabeling {
   ///
   /// `num_threads` parallelizes construction with rank-batched pruned
   /// searches (0 = hardware concurrency; 1 runs the plain sequential PLL
-  /// loop). The output is byte-identical for every thread count. A batch's
-  /// searches prune against the labels of earlier batches only and emit
-  /// candidates; the commit then re-checks each candidate against the
-  /// same-batch ranks below its own, which sit in the tails of the label
-  /// vectors. Candidates landing on the batch's own hub vertices commit
-  /// first, in rank order on one thread; every other vertex's candidates
-  /// commit in rank order on the pool thread owning that vertex. See
-  /// DESIGN.md, "Parallel index construction".
+  /// loop). The output is byte-identical for every thread count. Build
+  /// clears the labels and runs every rank's searches through the same
+  /// search-and-commit routine the edge-update repair uses; see
+  /// SearchAndCommit below and DESIGN.md, "Parallel index construction".
   void Build(const Graph& graph, const std::vector<VertexId>& order,
              uint32_t num_threads = 1);
 
@@ -168,10 +164,10 @@ class HubLabeling {
   // --- Sealed flat store ----------------------------------------------------
   // Build/Deserialize/FromParts construct into the nested vectors above (the
   // mutable source of truth, which serialization also reads) and then seal a
-  // flat CSR/SoA read view; the incremental repairs (OnEdgeDecreased /
-  // OnEdgeIncreased / OnEdgeRemoved) re-seal only the runs of vertices whose
-  // labels they changed. Queries and the NN machinery read the flat view
-  // exclusively. See DESIGN.md, "Label memory layout".
+  // flat CSR/SoA read view; the incremental repair (RepairEdgeUpdates)
+  // re-seals only the runs of vertices whose labels it changed. Queries and
+  // the NN machinery read the flat view exclusively. See DESIGN.md, "Label
+  // memory layout".
 
   /// Flat run of Lin(v) / Lout(v). Valid while the labeling is unchanged.
   LabelRun InRun(VertexId v) const { return flat_in_.Run(v); }
@@ -185,7 +181,7 @@ class HubLabeling {
   uint32_t RankOf(VertexId v) const { return rank_[v]; }
 
   // --- Incremental maintenance (Sec. IV-C) ----------------------------------
-  // All three edge-update repairs share one canonical algorithm (DESIGN.md,
+  // Every edge-update kind runs one canonical algorithm (DESIGN.md,
   // "Dynamic updates"): identify the *affected hubs* — exactly those with a
   // shortest path through the updated arc in the old or new graph, found by
   // tightness tests on the pre-update labels — drop their label entries,
@@ -197,35 +193,13 @@ class HubLabeling {
   // delta therefore certifies that *no* distance, parent chain, or label
   // changed at all — callers use that to skip downstream invalidation.
 
-  /// Repair after an edge insertion or weight decrease of arc (u, v) to
-  /// `w`; `graph` must already contain the new weight. Affected hubs are
-  /// those with dis(h, u) + w <= dis(h, v) on the old labels (ties
-  /// included: a new equal-cost path can re-cover entries and re-tie
-  /// canonical parents); a strictly cheaper existing route short-circuits
-  /// the whole repair with one label query.
-  LabelRepairDelta OnEdgeDecreased(const Graph& graph, VertexId u, VertexId v,
-                                   Weight w);
-
-  /// Repair after a weight *increase* of arc (u, v): `old_weight` is the
-  /// minimum u->v weight before the update, `graph` already carries the
-  /// raised weight. Affected hubs are those with dis(h, u) + old_weight ==
-  /// dis(h, v) on the pre-update labels — an old shortest path used (or
-  /// tied with) the arc.
-  LabelRepairDelta OnEdgeIncreased(const Graph& graph, VertexId u, VertexId v,
-                                   Weight old_weight);
-
-  /// Repair after the deletion of arc (u, v); `old_weight` is the minimum
-  /// u->v weight before removal and `graph` must no longer contain the
-  /// arc. A deletion is a weight increase to infinity: same test.
-  LabelRepairDelta OnEdgeRemoved(const Graph& graph, VertexId u, VertexId v,
-                                 Weight old_weight);
-
   /// One coalesced arc change inside a batched repair: the net effect of
   /// every update to arc (u, v) within the batch. `tight_old` is the
   /// pre-batch minimum u->v weight (absent when the net effect is an
   /// insertion or pure decrease), `tight_new` the post-batch one (absent
-  /// when the net effect is a deletion or pure increase) — exactly the
-  /// tights the single-update entry points pass to the canonical repair.
+  /// when the net effect is a deletion or pure increase). A decrease or
+  /// insertion engages only the new-graph test, an increase or deletion
+  /// only the old-graph test.
   struct EdgeRepairRequest {
     VertexId u = 0;
     VertexId v = 0;
@@ -233,20 +207,25 @@ class HubLabeling {
     std::optional<Cost> tight_new;
   };
 
-  /// Batched canonical repair (ISSUE 8): unions the affected-hub sets of
-  /// all requests — each identified by the same tightness tests on the
-  /// shared pre-batch labels — scrubs the union once, and re-runs each
-  /// affected hub's pruned search once, in the canonical rank order.
-  /// `graph` must already carry every post-batch weight. Requests whose
-  /// short-circuit fires (an existing route strictly beats every engaged
-  /// tight, so neither test can fire for any hub) are skipped
-  /// individually. Equivalent to applying the requests one at a time —
-  /// and byte-identical to a from-scratch rebuild — at the cost of one
-  /// affected-hub sweep and one re-search per hub instead of one per
-  /// update (the batched direction of dynamic pruned landmark labeling,
-  /// Akiba et al., WWW'14).
-  LabelRepairDelta RepairEdgeUpdates(const Graph& graph,
-                                     std::span<const EdgeRepairRequest> requests);
+  /// Canonical repair of a batch of arc changes (one update is a batch of
+  /// one): unions the affected-hub sets of all requests — each identified
+  /// by the same tightness tests on the shared pre-batch labels — scrubs
+  /// the union once, and re-runs each affected hub's pruned search once,
+  /// in the canonical rank order. `graph` must already carry every
+  /// post-batch weight. Requests whose short-circuit fires (an existing
+  /// route strictly beats every engaged tight, so neither test can fire
+  /// for any hub) are skipped individually. Equivalent to applying the
+  /// requests one at a time — and byte-identical to a from-scratch
+  /// rebuild — at the cost of one affected-hub sweep and one re-search per
+  /// hub instead of one per update (the batched direction of dynamic
+  /// pruned landmark labeling, Akiba et al., WWW'14).
+  ///
+  /// `num_threads` runs the re-searches the way Build runs its searches
+  /// (0 = hardware concurrency; 1 = one search at a time, committing
+  /// directly). Labels and delta are identical for every thread count.
+  LabelRepairDelta RepairEdgeUpdates(
+      const Graph& graph, std::span<const EdgeRepairRequest> requests,
+      uint32_t num_threads = 1);
 
   // --- Introspection (Table IX) -------------------------------------------
 
@@ -281,6 +260,13 @@ class HubLabeling {
   struct SearchContext;    // Per-thread pruned-Dijkstra scratch.
   struct CandidateLabel;   // (vertex, dist, parent) produced by a search.
   struct RepairTracker;    // First-touch pre-repair label snapshots.
+
+  /// One pruned search: the hub of `rank`, forward (it writes Lin entries)
+  /// or backward (Lout entries).
+  struct HubSearch {
+    uint32_t rank;
+    bool forward;
+  };
 
   /// One direction of the sealed flat store. Runs live back to back in the
   /// hot `key` array (packed rank|dist, each run terminated by a
@@ -329,7 +315,7 @@ class HubLabeling {
   // Runs one pruned Dijkstra from the hub of rank `rank` in the given
   // direction, pruning against the committed label entries of smaller
   // ranks. With `candidates` null the surviving labels are committed
-  // directly (sequential build and repair re-searches; `tracker`, if given,
+  // directly (the one-thread SearchAndCommit; `tracker`, if given,
   // snapshots every label vector just before its first mutation so the
   // repair can report exactly what changed); otherwise the search is
   // read-only and appends candidates for a later commit. Relaxations
@@ -339,23 +325,27 @@ class HubLabeling {
                     std::vector<CandidateLabel>* candidates,
                     RepairTracker* tracker = nullptr);
 
-  // Shared canonical repair for every edge-update kind. `tight_old` is the
-  // pre-update minimum u->v weight (absent for an insertion), `tight_new`
-  // the post-update one (absent for a deletion); a hub is affected when
-  // either tightness test fires. `graph` is the post-update graph, labels
-  // still pre-update.
-  LabelRepairDelta RepairEdgeUpdate(const Graph& graph, VertexId u, VertexId v,
-                                    std::optional<Cost> tight_old,
-                                    std::optional<Cost> tight_new);
+  // Runs the pruned searches in `searches` — canonical order: ascending
+  // rank, forward before backward — and commits their labels, which must
+  // hold no entry of a searched (rank, direction) yet. Build passes every
+  // rank; a repair passes the affected ones, with `tracker` receiving the
+  // pre-image of every vector it may change. With one thread each search
+  // commits directly. With more, the searches run in rank batches on a
+  // pool: a batch's searches prune against the labels committed before
+  // the batch and emit candidates, and CommitCandidates re-checks them.
+  // Relaxations of every context land in the calling thread's
+  // kPrunedRelaxations.
+  void SearchAndCommit(const Graph& graph, std::span<const HubSearch> searches,
+                       uint32_t num_threads, RepairTracker* tracker);
 
   // Diffs the tracker's pre-repair snapshots against the current vectors,
   // re-seals exactly the changed flat runs, and assembles the delta.
   LabelRepairDelta FinishRepair(RepairTracker& tracker);
 
-  // Commit phase of the rank-batched parallel build for the batch starting
-  // at rank `begin`: appends each candidate of `rank` whose vertex `owns`
-  // accepts, unless same-batch ranks in [begin, rank) cover it (the search
-  // already ruled out every rank below `begin`).
+  // Commit phase of SearchAndCommit for the batch whose first rank is
+  // `begin`: inserts each candidate of `rank` whose vertex `owns` accepts
+  // at its rank position, unless entries of rank in [begin, rank) cover it
+  // (the search already ruled out every entry present when it ran).
   template <typename Owns>
   void CommitCandidates(uint32_t begin, uint32_t rank, bool forward,
                         const std::vector<CandidateLabel>& candidates,

@@ -449,9 +449,11 @@ TEST(RecoveryTest, CheckpointSkipsSeedAndReplaysOnlyNewerRecords) {
   EdgeUpdate third{EdgeUpdate::Kind::kSet, 7, 8, 11};
   live.ApplyEdgeUpdates({&third, 1});
 
+  // The replay repairs on several threads; the live engine repaired on one.
   durability::RecoveryOptions options;
   options.dir = dir.path();
   options.fsync_policy = FsyncPolicy::kNever;
+  options.num_threads = testing::TestThreads();
   auto recovered = durability::Recover(options, [&]() ->
                                        std::unique_ptr<KosrEngine> {
     ADD_FAILURE() << "seed_engine must not run when a checkpoint exists";
@@ -461,6 +463,7 @@ TEST(RecoveryTest, CheckpointSkipsSeedAndReplaysOnlyNewerRecords) {
   EXPECT_EQ(recovered.stats.checkpoint_seq, 2u);
   EXPECT_EQ(recovered.stats.skipped_records, 1u);
   EXPECT_EQ(recovered.stats.replayed_records, 1u);
+  EXPECT_EQ(recovered.engine->repair_threads(), testing::TestThreads());
   EXPECT_EQ(IndexBytes(*recovered.engine), IndexBytes(live));
 }
 

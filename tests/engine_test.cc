@@ -258,5 +258,29 @@ TEST(EngineDynamicTest, EdgeDecreaseMatchesRebuiltEngine) {
   }
 }
 
+// An engine built on several threads repairs on as many, and every update
+// kind leaves indexes byte-identical to a 1-thread engine's.
+TEST(EngineDynamicTest, ThreadedRepairMatchesSequentialEngine) {
+  auto inst = testing::MakeRandomInstance(60, 240, 3, 69);
+  KosrEngine sequential(inst.graph, inst.categories);
+  sequential.BuildIndexes(1);
+  KosrEngine threaded(inst.graph, inst.categories);
+  threaded.BuildIndexes(testing::TestThreads());
+  EXPECT_EQ(sequential.repair_threads(), 1u);
+  EXPECT_EQ(threaded.repair_threads(), testing::TestThreads());
+  auto [u, v, w] = inst.graph.ToEdges().front();
+  for (KosrEngine* engine : {&sequential, &threaded}) {
+    engine->SetEdgeWeight(u, v, w + 30);
+    EXPECT_TRUE(engine->AddOrDecreaseEdge(2, 51, 1).labels_changed);
+    engine->RemoveEdge(u, v);
+  }
+  auto bytes = [](const KosrEngine& engine) {
+    std::stringstream out;
+    engine.SaveIndexes(out);
+    return out.str();
+  };
+  EXPECT_TRUE(bytes(threaded) == bytes(sequential));
+}
+
 }  // namespace
 }  // namespace kosr

@@ -144,7 +144,7 @@ TEST(FlatLabelsTest, EquivalentAfterDynamicDecreaseBatch) {
     VertexId u = pick(rng), v = pick(rng);
     Weight w = weight(rng);
     if (!graph.AddOrDecreaseArc(u, v, w)) continue;
-    hl.OnEdgeDecreased(graph, u, v, w);
+    testing::RepairOneArc(hl, graph, u, v, std::nullopt, w);
     ++applied;
     ExpectFlatMirrorsNested(hl);
   }
@@ -180,7 +180,7 @@ TEST(FlatLabelsTest, EmptyRunsGrowAfterConnectingUpdate) {
   // Cross-component pairs are unreachable before the bridging update.
   ASSERT_GE(hl.Query(0, 11), kInfCost);
   ASSERT_TRUE(graph.AddOrDecreaseArc(5, 6, 2));
-  hl.OnEdgeDecreased(graph, 5, 6, 2);
+  testing::RepairOneArc(hl, graph, 5, 6, std::nullopt, 2);
   ExpectFlatMirrorsNested(hl);
   ExpectQueriesMatchReference(graph, hl);
   ExpectUnpackedPathsValid(graph, hl);
@@ -216,14 +216,14 @@ TEST(FlatLabelsTest, EquivalentAfterIncreaseAndRemovalStream) {
       auto old = graph.RemoveArc(u, v);
       ASSERT_TRUE(old.has_value());
       LabelRepairDelta delta =
-          hl.OnEdgeRemoved(graph, u, v, static_cast<Weight>(*old));
+          testing::RepairOneArc(hl, graph, u, v, *old, std::nullopt);
       applied += delta.Empty() ? 0 : 1;
     } else {
       Weight raised = w + 1 + static_cast<Weight>(rng() % 60);
       auto old = graph.SetArcWeight(u, v, raised);
       ASSERT_TRUE(old.has_value());
       LabelRepairDelta delta =
-          hl.OnEdgeIncreased(graph, u, v, static_cast<Weight>(*old));
+          testing::RepairOneArc(hl, graph, u, v, *old, std::nullopt);
       applied += delta.Empty() ? 0 : 1;
     }
     ExpectFlatMirrorsNested(hl);
@@ -251,7 +251,7 @@ TEST(FlatLabelsTest, RunsShrinkAndEmptyAfterIsolatingAVertex) {
     if (u != isolated && v != isolated) continue;
     auto old = graph.RemoveArc(u, v);
     if (!old.has_value()) continue;  // already removed as a parallel
-    hl.OnEdgeRemoved(graph, u, v, static_cast<Weight>(*old));
+    testing::RepairOneArc(hl, graph, u, v, *old, std::nullopt);
     ExpectFlatMirrorsNested(hl);
   }
   // The isolated vertex reaches nothing and is reached by nothing; at most
@@ -280,7 +280,8 @@ TEST(FlatLabelsTest, EquivalentAfterSnapshotRoundTrip) {
   // And a decrease applied to the *loaded* labeling repairs its flat store
   // too (snapshot -> serve -> dynamic update is the service's real path).
   ASSERT_TRUE(graph.AddOrDecreaseArc(0, graph.num_vertices() - 1, 1));
-  loaded.OnEdgeDecreased(graph, 0, graph.num_vertices() - 1, 1);
+  testing::RepairOneArc(loaded, graph, 0, graph.num_vertices() - 1,
+                        std::nullopt, 1);
   ExpectFlatMirrorsNested(loaded);
   ExpectQueriesMatchReference(graph, loaded);
 }

@@ -2,7 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+#include <random>
+#include <span>
 #include <sstream>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "src/graph/generators.h"
 #include "src/graph/graph.h"
@@ -149,7 +155,7 @@ TEST(HubLabelingTest, IntrospectionIsConsistent) {
   EXPECT_GE(hl.BuildSeconds(), 0.0);
 }
 
-TEST(HubLabelingTest, OnEdgeDecreasedRepairsDistances) {
+TEST(HubLabelingTest, RepairAfterInsertionRepairsDistances) {
   for (uint64_t seed : {5u, 6u, 7u}) {
     Graph g = MakeRandomGraph(40, 140, seed);
     HubLabeling hl;
@@ -160,7 +166,7 @@ TEST(HubLabelingTest, OnEdgeDecreasedRepairsDistances) {
     Weight w = 1;
     edges.emplace_back(u, v, w);
     Graph g2 = Graph::FromEdges(40, edges);
-    hl.OnEdgeDecreased(g2, u, v, w);
+    testing::RepairOneArc(hl, g2, u, v, std::nullopt, w);
     for (VertexId s = 0; s < 40; s += 3) {
       auto dist = DijkstraAllDistances(g2, s);
       for (VertexId t = 0; t < 40; t += 2) {
@@ -279,6 +285,178 @@ TEST(HubLabelingTest, ParallelBuildCountsEveryThreadsRelaxations) {
   uint64_t sequential = relaxations(1);
   EXPECT_GT(sequential, 0u);
   EXPECT_GE(relaxations(4), sequential);
+}
+
+// --- Parallel repair equivalence --------------------------------------------
+
+std::string Serialized(const HubLabeling& hl) {
+  std::stringstream out;
+  hl.Serialize(out);
+  return out.str();
+}
+
+uint64_t Researches() {
+  return obs::TlsCounters().Get(obs::Counter::kRepairResearches);
+}
+
+// Repairs copies of `before` for `requests` (`graph` already carries them)
+// at 1, 2, 4 and TestThreads() threads. Every repair must leave labels that
+// serialize byte for byte like a 1-thread Build of `graph` with `order`,
+// answer every pair like it, and report the 1-thread repair's delta.
+// Returns the re-searches of the 1-thread repair (0 with counters off).
+uint64_t ExpectParallelRepairsMatch(
+    const HubLabeling& before, const Graph& graph,
+    const std::vector<VertexId>& order,
+    std::span<const HubLabeling::EdgeRepairRequest> requests) {
+  HubLabeling rebuilt;
+  rebuilt.Build(graph, order, /*num_threads=*/1);
+  const std::string want = Serialized(rebuilt);
+  HubLabeling sequential = before;
+  const uint64_t researches_before = Researches();
+  const LabelRepairDelta want_delta =
+      sequential.RepairEdgeUpdates(graph, requests, /*num_threads=*/1);
+  const uint64_t researches = Researches() - researches_before;
+  EXPECT_FALSE(want_delta.Empty());
+  EXPECT_TRUE(Serialized(sequential) == want);
+  for (uint32_t threads : {2u, 4u, testing::TestThreads()}) {
+    SCOPED_TRACE(::testing::Message() << "threads=" << threads);
+    HubLabeling parallel = before;
+    const LabelRepairDelta delta =
+        parallel.RepairEdgeUpdates(graph, requests, threads);
+    EXPECT_TRUE(Serialized(parallel) == want);
+    EXPECT_EQ(delta.changed_in, want_delta.changed_in);
+    EXPECT_EQ(delta.changed_out, want_delta.changed_out);
+    EXPECT_EQ(delta.old_in, want_delta.old_in);
+    uint64_t wrong_pairs = 0;
+    for (VertexId s = 0; s < graph.num_vertices(); ++s) {
+      for (VertexId t = 0; t < graph.num_vertices(); ++t) {
+        wrong_pairs += parallel.Query(s, t) != rebuilt.Query(s, t);
+      }
+    }
+    EXPECT_EQ(wrong_pairs, 0u);
+  }
+  return researches;
+}
+
+// One update re-searches a sparse, scattered set of ranks: the batches
+// span unaffected ranks, whose entries stay in the vectors around the
+// re-searched ones. Increase, decrease and deletion of one arc in the
+// middle of a grid, each repaired from the same labels.
+TEST(HubLabelingTest, ParallelRepairOfOneUpdateIsByteIdentical) {
+  constexpr uint32_t kSide = 16;
+  const Graph base = MakeGridRoadNetwork(kSide, kSide, /*seed=*/3);
+  const std::vector<VertexId> order = GridDissectionOrder(kSide, kSide);
+  HubLabeling before;
+  before.Build(base, order, /*num_threads=*/1);
+  // An arc that is its endpoints' shortest path, so every kind of change
+  // to it changes labels.
+  const VertexId u = (kSide / 2) * kSide + kSide / 3;
+  VertexId v = kInvalidVertex;
+  for (const Arc& a : base.OutArcs(u)) {
+    if (before.Query(u, a.head) == a.weight) v = a.head;
+  }
+  ASSERT_NE(v, kInvalidVertex);
+  const Cost w = base.ArcWeight(u, v);
+  const uint64_t all = 2 * static_cast<uint64_t>(base.num_vertices());
+
+  Graph raised = base;
+  ASSERT_TRUE(raised.SetArcWeight(u, v, static_cast<Weight>(w + 25)));
+  const HubLabeling::EdgeRepairRequest increase{u, v, w, std::nullopt};
+  uint64_t researches =
+      ExpectParallelRepairsMatch(before, raised, order, {&increase, 1});
+  if (obs::Enabled()) {
+    EXPECT_GT(researches, 0u);
+    EXPECT_LT(researches, all / 2);
+  }
+
+  Graph lowered = base;
+  ASSERT_TRUE(lowered.SetArcWeight(u, v, static_cast<Weight>(w / 2)));
+  const HubLabeling::EdgeRepairRequest decrease{u, v, std::nullopt, w / 2};
+  researches =
+      ExpectParallelRepairsMatch(before, lowered, order, {&decrease, 1});
+  if (obs::Enabled()) {
+    EXPECT_LT(researches, all / 2);
+  }
+
+  Graph removed = base;
+  ASSERT_TRUE(removed.RemoveArc(u, v).has_value());
+  const HubLabeling::EdgeRepairRequest deletion{u, v, w, std::nullopt};
+  researches =
+      ExpectParallelRepairsMatch(before, removed, order, {&deletion, 1});
+  if (obs::Enabled()) {
+    EXPECT_LT(researches, all / 2);
+  }
+}
+
+// An insertion that joins two components: the vertices of the far side
+// hold no entry of any affected hub, so no scrub touched their vectors,
+// yet the re-searches label them. The delta must still list them.
+TEST(HubLabelingTest, ParallelRepairOfAJoiningInsertionIsByteIdentical) {
+  constexpr uint32_t kRows = 8, kCols = 16;
+  Graph graph = MakeGridRoadNetwork(kRows, kCols, /*seed=*/9);
+  auto left = [&](VertexId x) { return x % kCols < kCols / 2; };
+  for (auto [u, v, w] : graph.ToEdges()) {
+    if (left(u) != left(v)) graph.RemoveArc(u, v);
+  }
+  const std::vector<VertexId> order = GridDissectionOrder(kRows, kCols);
+  HubLabeling before;
+  before.Build(graph, order, /*num_threads=*/1);
+  const VertexId u = (kRows / 2) * kCols + kCols / 2 - 1;
+  const VertexId v = u + 1;
+  ASSERT_EQ(before.Query(u, v), kInfCost);
+  ASSERT_TRUE(graph.SetArcWeight(u, v, 10).has_value());
+  const HubLabeling::EdgeRepairRequest insertion{u, v, std::nullopt, 10};
+  ExpectParallelRepairsMatch(before, graph, order, {&insertion, 1});
+}
+
+// The shape of a journal replay: one batch of many updates that affects
+// every (rank, direction) pair, so the repair re-searches every rank in
+// the batches of a build, starting from fully scrubbed labels. Mixes
+// increases, decreases and deletions.
+TEST(HubLabelingTest, ParallelRepairOfAReplayBatchIsByteIdentical) {
+  constexpr uint32_t kSide = 16;
+  const Graph base = MakeGridRoadNetwork(kSide, kSide, /*seed=*/5);
+  const std::vector<VertexId> order = GridDissectionOrder(kSide, kSide);
+  HubLabeling before;
+  before.Build(base, order, /*num_threads=*/1);
+  Graph after = base;
+  std::mt19937_64 rng(21);
+  std::map<std::pair<VertexId, VertexId>, Cost> first_old;
+  for (uint32_t i = 0; i < 40; ++i) {
+    VertexId u = static_cast<VertexId>(rng() % after.num_vertices());
+    auto arcs = after.OutArcs(u);
+    if (arcs.empty()) continue;
+    const Arc arc = arcs[rng() % arcs.size()];
+    first_old.try_emplace({u, arc.head}, after.ArcWeight(u, arc.head));
+    if (i % 8 == 0) {
+      after.RemoveArc(u, arc.head);
+    } else {
+      // Alternately raised and lowered by a quarter.
+      const Weight w = arc.weight * (i % 2 == 0 ? 5 : 3) / 4;
+      after.SetArcWeight(u, arc.head, std::max<Weight>(1, w));
+    }
+  }
+  std::vector<HubLabeling::EdgeRepairRequest> requests;
+  bool increased = false, decreased = false, deleted = false;
+  for (const auto& [arc, old] : first_old) {
+    const Cost now = after.ArcWeight(arc.first, arc.second);
+    if (now == old) continue;
+    HubLabeling::EdgeRepairRequest request{arc.first, arc.second, {}, {}};
+    if (now < old) {
+      request.tight_new = now;
+      decreased = true;
+    } else {
+      request.tight_old = old;
+      (now == kInfCost ? deleted : increased) = true;
+    }
+    requests.push_back(request);
+  }
+  ASSERT_TRUE(increased && decreased && deleted);
+  const uint64_t researches =
+      ExpectParallelRepairsMatch(before, after, order, requests);
+  if (obs::Enabled()) {
+    EXPECT_EQ(researches, 2 * static_cast<uint64_t>(base.num_vertices()));
+  }
 }
 
 TEST(HubLabelingTest, ParallelDegreeOrderMatchesSequential) {

@@ -4,12 +4,14 @@
 #include <algorithm>
 #include <cstdlib>
 #include <map>
+#include <optional>
 #include <random>
 #include <vector>
 
 #include "src/graph/categories.h"
 #include "src/graph/generators.h"
 #include "src/graph/graph.h"
+#include "src/labeling/hub_labeling.h"
 #include "src/util/types.h"
 
 namespace kosr::testing {
@@ -24,6 +26,18 @@ inline uint32_t TestThreads() {
     if (parsed > 0) return static_cast<uint32_t>(parsed);
   }
   return 4;
+}
+
+/// Repairs `hl` after one change of arc (u, v), `graph` already carrying
+/// it: a decrease or insertion to `w` passes only `tight_new = w`, an
+/// increase or deletion only `tight_old` = the weight before.
+inline LabelRepairDelta RepairOneArc(HubLabeling& hl, const Graph& graph,
+                                     VertexId u, VertexId v,
+                                     std::optional<Cost> tight_old,
+                                     std::optional<Cost> tight_new,
+                                     uint32_t num_threads = 1) {
+  const HubLabeling::EdgeRepairRequest request{u, v, tight_old, tight_new};
+  return hl.RepairEdgeUpdates(graph, {&request, 1}, num_threads);
 }
 
 /// A random sparse instance with one category per vertex drawn uniformly.
